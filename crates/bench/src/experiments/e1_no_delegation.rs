@@ -140,7 +140,11 @@ fn backend_table(scale: Scale) -> Table {
 
     run_backend("in-memory", LogManager::new());
 
-    let dir = std::env::temp_dir().join(format!("rh-bench-e1b-{}-{txns}", std::process::id()));
+    // One directory per call: the unit tests run this table concurrently.
+    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("rh-bench-e1b-{}-{txns}-{run}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     run_backend(
         "file-backed",

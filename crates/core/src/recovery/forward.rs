@@ -170,10 +170,8 @@ pub fn forward_pass(
     stats.analysis_from = analysis_from;
 
     // ---- the single sweep ----------------------------------------------
-    let end = log.curr_lsn();
-    let mut lsn = redo_from;
-    while lsn < end {
-        let rec = log.read(lsn)?;
+    log.scan_forward(redo_from, log.curr_lsn().prev(), |rec| {
+        let lsn = rec.lsn;
         stats.records_scanned += 1;
         if lsn < analysis_from {
             // Redo-only region: state changes here are already reflected
@@ -197,7 +195,7 @@ pub fn forward_pass(
                 &mut prov,
                 &mut coord_commits,
                 track_lazy,
-                &rec,
+                rec,
                 &mut stats,
                 obs,
                 Some(&span),
@@ -206,8 +204,8 @@ pub fn forward_pass(
         if !rec.txn.is_none() {
             next_txn = next_txn.max(rec.txn.raw() + 1);
         }
-        lsn = lsn.next();
-    }
+        Ok(())
+    })?;
 
     Ok(ForwardOutcome { tr, compensated, next_txn, lazy_scopes, prov, coord_commits, stats })
 }

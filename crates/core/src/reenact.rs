@@ -14,8 +14,12 @@
 //!
 //! ## Algorithm
 //!
-//! 1. **Seed.** Scan backward from the target LSN for the newest
-//!    decodable `CheckpointEnd` at-or-below it. Its snapshot provides the
+//! 1. **Seed.** Look up the newest decodable `CheckpointEnd` at-or-below
+//!    the target (and at-or-above the log's first retained LSN) in the
+//!    WAL's checkpoint directory
+//!    ([`LogManager::checkpoint_end_at_or_below`]) and read just that
+//!    record, stepping to the next older entry only when its snapshot
+//!    does not decode — no backward scan. Its snapshot provides the
 //!    object's value at checkpoint time (the checkpoint captures a value
 //!    overlay right after its `flush_all`, while the engine is
 //!    exclusively held — so the overlay *is* the database state at
@@ -24,8 +28,9 @@
 //!    no checkpoint below the target the replay seeds from the log's
 //!    first record and the initial value — correct whenever the log was
 //!    never truncated, an error otherwise.
-//! 2. **Replay.** Scan forward to the target, repeating history on the
-//!    one object: every `Update`/`Clr` on it is applied in LSN order, so
+//! 2. **Replay.** Scan forward to the target ([`LogManager::scan_forward`],
+//!    a run of records per read), repeating history on the one object:
+//!    every `Update`/`Clr` on it is applied in LSN order, so
 //!    the running value at LSN L equals the page state a crash-recovery
 //!    at L would rebuild. Commit, abort, prepare, and delegate records
 //!    drive the shadow transaction table exactly as the recovery forward
@@ -138,7 +143,7 @@ pub struct Reenactment {
     pub seeded_from: Option<Lsn>,
     /// Transactions prepared but undecided at the target.
     pub in_doubt: Vec<InDoubt>,
-    /// Log records visited (seek + replay + pre-seed reconstruction).
+    /// Log records read (seed + replay + pre-seed reconstruction).
     pub records_scanned: u64,
     /// Committed versions in LSN order (commits at/below the target).
     versions: Vec<VersionRecord>,
@@ -300,17 +305,17 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
 
     // ---- seed: newest decodable CheckpointEnd at-or-below the target --
     let mut seed: Option<(Lsn, CheckpointSnapshot)> = None;
-    let mut cursor = as_of;
-    while !cursor.is_null() && cursor >= first {
-        let rec = log.read(cursor)?;
+    let mut candidate = log.checkpoint_end_at_or_below(as_of);
+    while let Some(cl) = candidate.filter(|&cl| cl >= first) {
+        let rec = log.read(cl)?;
         scanned += 1;
         if let RecordBody::CheckpointEnd { payload } = &rec.body {
             if let Ok(snap) = CheckpointSnapshot::from_bytes(payload) {
-                seed = Some((cursor, snap));
+                seed = Some((cl, snap));
                 break;
             }
         }
-        cursor = cursor.prev();
+        candidate = log.checkpoint_end_at_or_below(cl.prev());
     }
     if seed.is_none() && first > Lsn::FIRST {
         return Err(RhError::Reenact {
@@ -358,9 +363,8 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
             .unwrap_or_default()
     };
 
-    let mut lsn = scan_from;
-    while !lsn.is_null() && lsn <= as_of {
-        let rec = log.read(lsn)?;
+    log.scan_forward(scan_from, as_of, |rec| {
+        let lsn = rec.lsn;
         scanned += 1;
         match &rec.body {
             RecordBody::Begin => ensure_txn(&mut tr, rec.txn, lsn),
@@ -461,8 +465,8 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
             }
             RecordBody::CheckpointBegin | RecordBody::CheckpointEnd { .. } => {}
         }
-        lsn = lsn.next();
-    }
+        Ok(())
+    })?;
 
     // ---- unresolved transactions at the target -------------------------
     let mut loser_undo: Vec<(Lsn, UpdateOp)> = Vec::new();
@@ -521,22 +525,20 @@ pub fn replay(log: &LogManager, ob: ObjectId, as_of: Lsn) -> Result<Reenactment>
             .max(first);
         // All ops on `ob` in [start, scan_from), in LSN order.
         let mut pre_ops: Vec<(Lsn, TxnId, UpdateOp, bool)> = Vec::new();
-        let mut l = start;
-        while !l.is_null() && l < scan_from {
-            let rec = log.read(l)?;
+        log.scan_forward(start, scan_from.prev(), |rec| {
             scanned += 1;
             match &rec.body {
                 RecordBody::Update { ob: o, op } if *o == ob => {
-                    pre_ops.push((l, rec.txn, *op, false));
+                    pre_ops.push((rec.lsn, rec.txn, *op, false));
                 }
                 RecordBody::Clr { ob: o, op, compensated: c, .. } if *o == ob => {
                     compensated.insert(*c);
-                    pre_ops.push((l, rec.txn, *op, true));
+                    pre_ops.push((rec.lsn, rec.txn, *op, true));
                 }
                 _ => {}
             }
-            l = l.next();
-        }
+            Ok(())
+        })?;
         // Values at the time: walk backward from the seed value.
         let mut value_after = vec![seed_val; pre_ops.len()];
         let mut cur = seed_val;

@@ -3,10 +3,11 @@
 //! Two services in this workspace accept TCP connections: the read-only
 //! introspection endpoint ([`crate::serve::IntrospectionServer`]) and the
 //! transaction front-end (`rh-server`). Both need the same boring —
-//! and easy to get subtly wrong — accept-loop skeleton: bind, flip the
-//! listener non-blocking so shutdown is prompt, poll-accept on a named
-//! background thread, and stop cleanly on a shared flag. [`TcpService`]
-//! is that skeleton, extracted so there is exactly one of it.
+//! and easy to get subtly wrong — accept-loop skeleton: bind, block in
+//! `accept` on a named background thread, and stop cleanly on a shared
+//! flag — shutdown sets the flag and wakes the blocked `accept` with one
+//! connection to the listener's own address. [`TcpService`] is that
+//! skeleton, extracted so there is exactly one of it.
 //!
 //! The service owns *only* the accept loop. What happens to an accepted
 //! stream is the embedder's `on_conn` callback: the introspection server
@@ -15,15 +16,10 @@
 //! callback is the embedder's responsibility — the loop itself never
 //! panics.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long the accept loop sleeps when no connection is pending. Bounds
-/// shutdown latency; small enough to be invisible next to any fsync.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Callback invoked (on the accept thread) for every accepted stream.
 pub type OnConn = Box<dyn Fn(TcpStream) + Send + 'static>;
@@ -46,7 +42,6 @@ impl TcpService {
     /// accepted stream is passed to `on_conn`.
     pub fn bind(addr: &str, name: &str, on_conn: OnConn) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -71,6 +66,17 @@ impl TcpService {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            // Wake the blocked `accept`; the loop sees the flag and exits
+            // without handing this connection to `on_conn`. A wildcard
+            // bind is reached through loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = t.join();
         }
     }
@@ -83,13 +89,14 @@ impl Drop for TcpService {
 }
 
 fn accept_loop(listener: TcpListener, on_conn: OnConn, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => on_conn(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // A failed accept (a peer that reset before it was accepted)
+        // concerns only that peer.
+        if let Ok(stream) = conn {
+            on_conn(stream);
         }
     }
 }
@@ -120,6 +127,33 @@ mod tests {
             assert_eq!(&buf, b"hi");
         }
         assert_eq!(hits.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn shutdown_returns_promptly_with_no_client_connected() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let hits = Arc::new(AtomicUsize::new(0));
+            let hits_cb = Arc::clone(&hits);
+            let mut service = TcpService::bind(
+                addr,
+                "test-idle-stop",
+                Box::new(move |_s| {
+                    hits_cb.fetch_add(1, Ordering::SeqCst);
+                }),
+            )
+            .expect("bind");
+            // Whether or not the accept thread is already blocked in
+            // `accept`, the wake-up connection ends the loop.
+            let sw = std::time::Instant::now();
+            service.shutdown();
+            assert!(
+                sw.elapsed() < std::time::Duration::from_secs(2),
+                "shutdown of an idle {addr} listener took {:?}",
+                sw.elapsed()
+            );
+            // The wake-up connection is not a client.
+            assert_eq!(hits.load(Ordering::SeqCst), 0);
+        }
     }
 
     #[test]

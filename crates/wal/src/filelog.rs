@@ -34,6 +34,7 @@
 
 use crate::frame;
 use crate::io::{StdIo, WalFile, WalIo};
+use crate::record;
 use crate::segment::{self, FrameLoc};
 use parking_lot::Mutex;
 use rh_common::{Lsn, Result, RhError};
@@ -41,6 +42,13 @@ use rh_obs::names;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Byte bound on one run read of [`LogManager::scan_forward`]: a forward
+/// scan fetches at most this many bytes per positioned read, except that
+/// a single frame larger than this is still read whole.
+///
+/// [`LogManager::scan_forward`]: crate::log::LogManager::scan_forward
+pub const RUN_BYTES: usize = 256 << 10;
 
 /// Name of the master-record file inside the log directory.
 const MASTER_FILE: &str = "master";
@@ -118,6 +126,9 @@ struct State {
     segments: VecDeque<OpenSegment>,
     /// `index[i]` locates the record with LSN `base + i`.
     index: VecDeque<RecLoc>,
+    /// Checkpoint directory: LSNs of the retained `CheckpointEnd`
+    /// records, ascending.
+    checkpoints: Vec<u64>,
 }
 
 /// The file-backed stable log. See the module docs for the protocol.
@@ -133,6 +144,22 @@ pub struct SegmentedFileLog {
 
 fn storage(reason: &'static str) -> RhError {
     RhError::Storage(reason)
+}
+
+/// Fills `buf` from `offset`, looping over short reads; errors name `lsn`,
+/// the record the read was for.
+fn read_exact_at(file: &dyn WalFile, offset: u64, buf: &mut [u8], lsn: Lsn) -> Result<()> {
+    let mut read = 0usize;
+    while read < buf.len() {
+        let n = file
+            .read_at(offset + read as u64, &mut buf[read..])
+            .map_err(|_| RhError::CorruptLog { lsn, reason: "log read failed" })?;
+        if n == 0 {
+            return Err(RhError::CorruptLog { lsn, reason: "log file shorter than index" });
+        }
+        read += n;
+    }
+    Ok(())
 }
 
 /// Writes all of `data` at `offset`, looping over short writes.
@@ -172,6 +199,7 @@ impl SegmentedFileLog {
         let mut report = OpenReport::default();
         let mut segments: VecDeque<OpenSegment> = VecDeque::new();
         let mut index: VecDeque<RecLoc> = VecDeque::new();
+        let mut checkpoints: Vec<u64> = Vec::new();
         let base = names.first().copied().unwrap_or(0);
         let mut expected = base;
         let mut stop_at: Option<usize> = None;
@@ -186,8 +214,14 @@ impl SegmentedFileLog {
             let path = segment::segment_path(&cfg.dir, first);
             let file = io.open(&path).map_err(|_| storage("cannot open log segment"))?;
             let file_len = file.len().map_err(|_| storage("cannot stat log segment"))?;
-            let scan =
-                segment::scan_segment(&*file).map_err(|_| storage("cannot read log segment"))?;
+            let mut lsn = first;
+            let scan = segment::scan_segment(&*file, |payload| {
+                if record::is_checkpoint_end(payload) {
+                    checkpoints.push(lsn);
+                }
+                lsn += 1;
+            })
+            .map_err(|_| storage("cannot read log segment"))?;
             for FrameLoc { offset, payload_len } in &scan.frames {
                 index.push_back(RecLoc {
                     seg_first: first,
@@ -234,7 +268,7 @@ impl SegmentedFileLog {
             io,
             dir: cfg.dir,
             segment_bytes: cfg.segment_bytes.max(1),
-            state: Mutex::named(State { base, segments, index }, names::LS_WAL_STATE),
+            state: Mutex::named(State { base, segments, index, checkpoints }, names::LS_WAL_STATE),
             master: Mutex::named(master, names::LS_WAL_MASTER),
             report,
         })
@@ -361,6 +395,9 @@ impl SegmentedFileLog {
         };
         active.len += framed.len() as u64;
         st.index.push_back(loc);
+        if record::is_checkpoint_end(payload) {
+            st.checkpoints.push(lsn.raw());
+        }
         Ok(out)
     }
 
@@ -377,45 +414,102 @@ impl SegmentedFileLog {
         Ok(1)
     }
 
-    fn locate(&self, lsn: Lsn) -> Result<(Arc<dyn WalFile>, RecLoc)> {
-        let st = self.state.lock();
+    /// The index position of `lsn` and the file of its segment.
+    fn locate_in(st: &State, lsn: Lsn) -> Result<(usize, Arc<dyn WalFile>)> {
         if lsn.raw() < st.base {
             return Err(RhError::CorruptLog { lsn, reason: "read below truncation point" });
         }
         let idx = (lsn.raw() - st.base) as usize;
-        let loc = *st
-            .index
-            .get(idx)
-            .ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" })?;
+        let loc =
+            st.index.get(idx).ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" })?;
         // Segments are few (log_bytes / segment_bytes); a linear probe
         // from the back wins for the common recent-record case.
         let seg =
             st.segments.iter().rev().find(|s| s.first_lsn == loc.seg_first).ok_or(
                 RhError::CorruptLog { lsn, reason: "index entry points into a dead segment" },
             )?;
-        Ok((Arc::clone(&seg.file), loc))
+        Ok((idx, Arc::clone(&seg.file)))
+    }
+
+    fn locate(&self, lsn: Lsn) -> Result<(Arc<dyn WalFile>, RecLoc)> {
+        let st = self.state.lock();
+        let (idx, file) = Self::locate_in(&st, lsn)?;
+        Ok((file, st.index[idx]))
+    }
+
+    /// Checks that `frame` is exactly one valid frame and returns its
+    /// payload; anything else is corruption of the record at `lsn`.
+    fn verified(frame: &[u8], lsn: Lsn) -> Result<&[u8]> {
+        match frame::decode(frame) {
+            frame::Decoded::Valid { payload, frame_len } if frame_len == frame.len() => Ok(payload),
+            _ => Err(RhError::CorruptLog { lsn, reason: "checksum mismatch on read" }),
+        }
     }
 
     pub(crate) fn read_encoded(&self, lsn: Lsn) -> Result<Arc<[u8]>> {
         let (file, loc) = self.locate(lsn)?;
-        let total = frame::HEADER_LEN + loc.payload_len as usize;
-        let mut buf = vec![0u8; total];
-        let mut read = 0usize;
-        while read < total {
-            let n = file
-                .read_at(loc.offset + read as u64, &mut buf[read..])
-                .map_err(|_| RhError::CorruptLog { lsn, reason: "log read failed" })?;
-            if n == 0 {
-                return Err(RhError::CorruptLog { lsn, reason: "log file shorter than index" });
+        let mut buf = vec![0u8; frame::HEADER_LEN + loc.payload_len as usize];
+        read_exact_at(&*file, loc.offset, &mut buf, lsn)?;
+        Ok(Self::verified(&buf, lsn)?.into())
+    }
+
+    /// Reads one *run* — the records from `from` up to `to` that lie back
+    /// to back in `from`'s segment, at most [`RUN_BYTES`] of frames (one
+    /// frame even if larger) — with a single positioned read into `buf`,
+    /// and hands each payload to `f` with its LSN, in order. Every frame
+    /// is verified before `f` sees it: its CRC, and its length against
+    /// the index; the first bad frame ends the run with `CorruptLog` at
+    /// its LSN. `lens` is scratch space for the run's index entries.
+    /// Returns the LSN after the last record of the run. No lock is held
+    /// while reading or while `f` runs.
+    pub(crate) fn read_run(
+        &self,
+        from: Lsn,
+        to: Lsn,
+        buf: &mut Vec<u8>,
+        lens: &mut Vec<u32>,
+        mut f: impl FnMut(Lsn, &[u8]) -> Result<()>,
+    ) -> Result<Lsn> {
+        let (file, start, end) = {
+            let st = self.state.lock();
+            let (idx, file) = Self::locate_in(&st, from)?;
+            let head = st.index[idx];
+            let budget = RUN_BYTES as u64;
+            let mut end = head.offset;
+            lens.clear();
+            for loc in st.index.range(idx..) {
+                let frame = (frame::HEADER_LEN + loc.payload_len as usize) as u64;
+                let next = from.raw() + lens.len() as u64;
+                if next > to.raw()
+                    || loc.seg_first != head.seg_first
+                    || loc.offset != end
+                    || (!lens.is_empty() && end + frame - head.offset > budget)
+                {
+                    break;
+                }
+                lens.push(loc.payload_len);
+                end += frame;
             }
-            read += n;
+            (file, head.offset, end)
+        };
+        buf.resize((end - start) as usize, 0);
+        read_exact_at(&*file, start, buf, from)?;
+        let mut pos = 0usize;
+        for (i, &len) in lens.iter().enumerate() {
+            let lsn = Lsn(from.raw() + i as u64);
+            let frame_len = frame::HEADER_LEN + len as usize;
+            f(lsn, Self::verified(&buf[pos..pos + frame_len], lsn)?)?;
+            pos += frame_len;
         }
-        match frame::decode(&buf) {
-            frame::Decoded::Valid { payload, .. } => Ok(payload.into()),
-            frame::Decoded::Torn => {
-                Err(RhError::CorruptLog { lsn, reason: "checksum mismatch on read" })
-            }
-        }
+        Ok(Lsn(from.raw() + lens.len() as u64))
+    }
+
+    /// LSN of the newest `CheckpointEnd` record at or below `bound`, from
+    /// the checkpoint directory (no log read).
+    pub(crate) fn checkpoint_end_at_or_below(&self, bound: u64) -> Option<u64> {
+        let st = self.state.lock();
+        let n = st.checkpoints.partition_point(|&c| c <= bound);
+        n.checked_sub(1).map(|i| st.checkpoints[i])
     }
 
     /// Overwrites a record's frame in place (eager/lazy baselines only).
@@ -450,6 +544,8 @@ impl SegmentedFileLog {
                 st.index.pop_front();
             }
             st.base = next_first;
+            let gone = st.checkpoints.partition_point(|&c| c < next_first);
+            st.checkpoints.drain(..gone);
             self.io
                 .remove(&segment::segment_path(&self.dir, dead.first_lsn))
                 .map_err(|_| storage("cannot remove truncated segment"))?;

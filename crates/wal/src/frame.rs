@@ -26,18 +26,66 @@ pub const HEADER_LEN: usize = 8;
 /// chase a multi-gigabyte phantom frame.
 pub const MAX_PAYLOAD: u32 = 1 << 28; // 256 MiB
 
-/// CRC-32 (IEEE, reflected, init/final `0xFFFF_FFFF`) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Tableless bitwise form; the log's payloads are tens of bytes, so
-    // this is nowhere near any profile. 0xEDB88320 is the reflected
-    // IEEE 802.3 polynomial.
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `TABLES[0]` is the classic byte-at-a-time table,
+/// and `TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold in with eight independent
+/// lookups.
+static TABLES: [[u32; 256]; 8] = make_tables();
+
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 { (c >> 1) ^ POLY } else { c >> 1 };
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE, reflected, init/final `0xFFFF_FFFF`) of `data`.
+///
+/// Every frame is checksummed when written, when the log is opened and
+/// on every read, so this sits under both restart and time-travel
+/// reads; it folds eight bytes per step (slicing-by-8) and finishes the
+/// tail a byte at a time. The values are those of the bitwise
+/// definition, which the unit tests keep as the oracle.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut crc = !0u32;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -100,6 +148,44 @@ pub fn decode(buf: &[u8]) -> Decoded<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// The bitwise definition of CRC-32/IEEE: the oracle the table-driven
+    /// [`crc32`] must agree with on every input.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_at_every_short_length_and_alignment() {
+        let bytes: Vec<u8> = (0..128u32).map(|i| (i.wrapping_mul(181) ^ (i >> 3)) as u8).collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[align..align + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "align {align} len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_bitwise_on_random_input(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            skip in 0usize..8,
+        ) {
+            let slice = &data[skip.min(data.len())..];
+            prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -39,7 +39,7 @@
 use crate::filelog::{AppendOut, FileLogConfig, OpenReport, SegmentedFileLog};
 use crate::io::WalIo;
 use crate::metrics::LogMetrics;
-use crate::record::{LogRecord, RecordBody};
+use crate::record::{self, LogRecord, RecordBody};
 use parking_lot::{Condvar, Mutex};
 use rh_common::codec::Codec;
 use rh_common::{Lsn, Result, RhError, TxnId};
@@ -102,6 +102,16 @@ impl MemLog {
             .ok_or(RhError::CorruptLog { lsn, reason: "rewrite past end of log" })?;
         *slot = bytes.into();
         Ok(())
+    }
+
+    fn checkpoint_end_at_or_below(&self, bound: u64) -> Option<u64> {
+        let records = self.records.lock();
+        let base = *self.base.lock();
+        let upto = usize::try_from(bound.checked_sub(base)?).map_or(records.len(), |i| i + 1);
+        records[..upto.min(records.len())]
+            .iter()
+            .rposition(|r| record::is_checkpoint_end(r))
+            .map(|i| base + i as u64)
     }
 
     fn truncate_prefix(&self, upto: Lsn) -> u64 {
@@ -268,6 +278,16 @@ impl StableLog {
         match &self.backend {
             Backend::Mem(m) => m.read_encoded(lsn),
             Backend::File(f) => f.read_encoded(lsn),
+        }
+    }
+
+    /// LSN of the newest stable `CheckpointEnd` record at or below
+    /// `bound`. The file backend answers from its checkpoint directory;
+    /// the mem backend peeks at the body tags of its in-memory records.
+    fn checkpoint_end_at_or_below(&self, bound: u64) -> Option<u64> {
+        match &self.backend {
+            Backend::Mem(m) => m.checkpoint_end_at_or_below(bound),
+            Backend::File(f) => f.checkpoint_end_at_or_below(bound),
         }
     }
 
@@ -542,13 +562,7 @@ impl LogManager {
                     .ok_or(RhError::CorruptLog { lsn, reason: "read past end of log" });
             }
         }
-        let bytes = self.stable.read_encoded(lsn)?;
-        let rec = LogRecord::from_bytes(&bytes)
-            .map_err(|_| RhError::CorruptLog { lsn, reason: "undecodable record" })?;
-        if rec.lsn != lsn {
-            return Err(RhError::CorruptLog { lsn, reason: "stored lsn mismatch" });
-        }
-        Ok(rec)
+        Self::decode_stable(lsn, &self.stable.read_encoded(lsn)?)
     }
 
     /// Overwrites the record at `lsn` **in place**. Only the eager and
@@ -581,8 +595,28 @@ impl LogManager {
         self.stable.rewrite_encoded(lsn, &rec.to_bytes())
     }
 
-    /// Scans records in `[from, to]` forward, invoking `f` on each.
-    /// The recovery forward pass (paper Fig. 3) is built on this.
+    /// Decodes the stable record `lsn` from its verified frame payload.
+    fn decode_stable(lsn: Lsn, payload: &[u8]) -> Result<LogRecord> {
+        let rec = LogRecord::from_bytes(payload)
+            .map_err(|_| RhError::CorruptLog { lsn, reason: "undecodable record" })?;
+        if rec.lsn != lsn {
+            return Err(RhError::CorruptLog { lsn, reason: "stored lsn mismatch" });
+        }
+        Ok(rec)
+    }
+
+    /// Scans records in `[from, to]` forward, invoking `f` on each. The
+    /// recovery forward pass (paper Fig. 3) and reenactment are built on
+    /// this.
+    ///
+    /// On the file backend, stable records are fetched a run at a time —
+    /// the consecutive records of one segment in one positioned read of
+    /// at most [`RUN_BYTES`](crate::filelog::RUN_BYTES) — with every frame
+    /// still CRC-checked, length-checked against the index and LSN-checked
+    /// before `f` sees it. The volatile tail and the mem backend go
+    /// through [`LogManager::read`]. Either way every record counts one
+    /// `records_read`, and no log lock is held while `f` runs, so `f` may
+    /// append or flush.
     pub fn scan_forward(
         &self,
         from: Lsn,
@@ -592,13 +626,57 @@ impl LogManager {
         if from.is_null() || to.is_null() || from > to {
             return Ok(());
         }
+        let mut buf = Vec::new();
+        let mut lens = Vec::new();
         let mut lsn = from;
         while lsn <= to {
-            let rec = self.read(lsn)?;
-            f(&rec)?;
+            if let Backend::File(file) = &self.stable.backend {
+                let horizon = self.stable.horizon();
+                if lsn.raw() < horizon {
+                    let run_to = Lsn(to.raw().min(horizon - 1));
+                    lsn = file.read_run(lsn, run_to, &mut buf, &mut lens, |l, payload| {
+                        self.metrics.record_read(l.raw());
+                        f(&Self::decode_stable(l, payload)?)
+                    })?;
+                    continue;
+                }
+            }
+            f(&self.read(lsn)?)?;
             lsn = lsn.next();
         }
         Ok(())
+    }
+
+    /// LSN of the newest `CheckpointEnd` record at or below `bound`, in
+    /// the volatile tail or on stable storage; `None` if there is none.
+    /// Reads no record: the stable part comes from the WAL's checkpoint
+    /// directory, which appends extend, opening rebuilds and truncation
+    /// trims. A result may lie below [`LogManager::first_lsn`] only if a
+    /// truncation races the call.
+    pub fn checkpoint_end_at_or_below(&self, bound: Lsn) -> Option<Lsn> {
+        if bound.is_null() {
+            return None;
+        }
+        {
+            let inner = self.inner.lock();
+            let horizon = self.stable.horizon();
+            if bound.raw() >= horizon {
+                let upto = ((bound.raw() - horizon) as usize).saturating_add(1);
+                let hit = inner
+                    .tail
+                    .iter()
+                    .take(upto)
+                    .rev()
+                    .find(|rec| matches!(rec.body, RecordBody::CheckpointEnd { .. }));
+                if let Some(rec) = hit {
+                    return Some(rec.lsn);
+                }
+            }
+        }
+        // Records flushed since the tail was searched held no
+        // `CheckpointEnd` at or below `bound`, so the stable answer is
+        // still the newest one.
+        self.stable.checkpoint_end_at_or_below(bound.raw()).map(Lsn)
     }
 
     /// Simulates a crash: the volatile tail is dropped. Returns the stable

@@ -208,6 +208,21 @@ impl Codec for DelegateBody {
     }
 }
 
+/// Body tag of [`RecordBody::CheckpointEnd`] in the encoded form.
+const TAG_CHECKPOINT_END: u8 = 8;
+
+/// Byte offset of the body tag in an encoded [`LogRecord`]: `lsn`, `txn`
+/// and `prev_lsn` are fixed 8-byte fields ahead of it.
+const BODY_TAG_OFFSET: usize = 24;
+
+/// True if `encoded` (the bytes of [`LogRecord::to_bytes`]) is a
+/// `CheckpointEnd` record. Peeks at the body tag without decoding, so the
+/// log can keep its checkpoint directory from the frames it already
+/// holds in memory when it opens or appends.
+pub fn is_checkpoint_end(encoded: &[u8]) -> bool {
+    encoded.get(BODY_TAG_OFFSET) == Some(&TAG_CHECKPOINT_END)
+}
+
 impl Codec for RecordBody {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -235,7 +250,7 @@ impl Codec for RecordBody {
             }
             RecordBody::CheckpointBegin => w.put_u8(7),
             RecordBody::CheckpointEnd { payload } => {
-                w.put_u8(8);
+                w.put_u8(TAG_CHECKPOINT_END);
                 w.put_bytes(payload);
             }
             RecordBody::Prepare => w.put_u8(9),
@@ -265,7 +280,7 @@ impl Codec for RecordBody {
                 body: DelegateBody::decode(r)?,
             },
             7 => RecordBody::CheckpointBegin,
-            8 => RecordBody::CheckpointEnd { payload: r.take_bytes()? },
+            TAG_CHECKPOINT_END => RecordBody::CheckpointEnd { payload: r.take_bytes()? },
             9 => RecordBody::Prepare,
             10 => RecordBody::CoordCommit { participants: Vec::decode(r)? },
             _ => return Err(RhError::Codec("invalid RecordBody tag")),
@@ -332,6 +347,31 @@ mod tests {
         roundtrip(base(RecordBody::Prepare));
         roundtrip(base(RecordBody::CoordCommit { participants: vec![0, 2, 3] }));
         roundtrip(base(RecordBody::CoordCommit { participants: Vec::new() }));
+    }
+
+    #[test]
+    fn checkpoint_end_peek_matches_the_decoded_body() {
+        let bodies = [
+            RecordBody::Begin,
+            RecordBody::Update { ob: ObjectId(8), op: UpdateOp::Add { delta: 8 } },
+            RecordBody::Commit,
+            RecordBody::Delegate {
+                tee: TxnId(8),
+                tee_bc: Lsn(8),
+                body: DelegateBody::one(ObjectId(8)),
+            },
+            RecordBody::CheckpointBegin,
+            RecordBody::CheckpointEnd { payload: vec![8; 8] },
+            RecordBody::CheckpointEnd { payload: Vec::new() },
+            RecordBody::CoordCommit { participants: vec![8] },
+        ];
+        for body in bodies {
+            let is_end = matches!(body, RecordBody::CheckpointEnd { .. });
+            // Fields equal to the tag value must not fool the peek.
+            let rec = LogRecord { lsn: Lsn(8), txn: TxnId(8), prev_lsn: Lsn(8), body };
+            assert_eq!(is_checkpoint_end(&rec.to_bytes()), is_end, "{}", rec.body.kind());
+        }
+        assert!(!is_checkpoint_end(&[]));
     }
 
     #[test]

@@ -68,9 +68,10 @@ pub struct ScanOutcome {
 }
 
 /// Reads the whole of `file` and walks its frames, stopping at the first
-/// torn one. Does **not** truncate; the caller decides (and also decides
-/// what to do with any *later* segments, which a tear orphans).
-pub fn scan_segment(file: &dyn WalFile) -> io::Result<ScanOutcome> {
+/// torn one, and hands each valid frame's payload to `visit` in order.
+/// Does **not** truncate; the caller decides (and also decides what to
+/// do with any *later* segments, which a tear orphans).
+pub fn scan_segment(file: &dyn WalFile, mut visit: impl FnMut(&[u8])) -> io::Result<ScanOutcome> {
     let len = file.len()?;
     let mut buf = vec![0u8; len as usize];
     let mut read = 0usize;
@@ -87,6 +88,7 @@ pub fn scan_segment(file: &dyn WalFile) -> io::Result<ScanOutcome> {
     let mut frames = Vec::new();
     let mut pos = 0usize;
     while let frame::Decoded::Valid { payload, frame_len } = frame::decode(&buf[pos..]) {
+        visit(payload);
         frames.push(FrameLoc { offset: pos as u64, payload_len: payload.len() as u32 });
         pos += frame_len;
     }
@@ -134,10 +136,13 @@ mod tests {
         bytes.truncate(a.len() + b.len() - 3);
         f.write_at(0, &bytes).unwrap();
 
-        let out = scan_segment(&*f).unwrap();
+        let mut seen = Vec::new();
+        let out = scan_segment(&*f, |payload| seen.push(payload.to_vec())).unwrap();
         assert_eq!(out.frames.len(), 1);
         assert_eq!(out.valid_len, a.len() as u64);
         assert!(out.torn);
+        // Only valid frames reach the visitor.
+        assert_eq!(seen, vec![b"first".to_vec()]);
     }
 
     #[test]
@@ -147,7 +152,7 @@ mod tests {
         let mut bytes = frame::encode(b"one");
         bytes.extend_from_slice(&frame::encode(b"two"));
         f.write_at(0, &bytes).unwrap();
-        let out = scan_segment(&*f).unwrap();
+        let out = scan_segment(&*f, |_| {}).unwrap();
         assert_eq!(out.frames.len(), 2);
         assert_eq!(out.valid_len, bytes.len() as u64);
         assert!(!out.torn);
@@ -158,7 +163,7 @@ mod tests {
     fn scan_of_empty_file() {
         let dir = scratch("empty");
         let f = StdIo.create(&dir.join("s")).unwrap();
-        let out = scan_segment(&*f).unwrap();
+        let out = scan_segment(&*f, |_| {}).unwrap();
         assert!(out.frames.is_empty());
         assert_eq!(out.valid_len, 0);
         assert!(!out.torn);
