@@ -146,16 +146,7 @@ impl RhDb {
     pub fn with_stable_log(strategy: Strategy, config: DbConfig, stable: Arc<StableLog>) -> Self {
         let disk = Disk::new();
         let obs = Arc::new(Obs::new());
-        let flight = match (stable.dir(), stable.io()) {
-            (Some(dir), Some(io)) => match FlightRecorder::attach(io, dir) {
-                Ok(f) => Some(f),
-                Err(_) => {
-                    obs.registry.inc(names::M_BLACKBOX_ERRORS);
-                    None
-                }
-            },
-            _ => None,
-        };
+        let flight = FlightRecorder::for_log(&stable, &obs);
         let log = Arc::new(LogManager::attach(stable));
         let pool = BufferPool::new(Arc::clone(&disk), config.pool_pages);
         RhDb {
@@ -226,10 +217,10 @@ impl RhDb {
         *self.postmortem.lock() = Some(pm);
     }
 
-    /// Attaches a flight recorder (recovery does this after the log is
-    /// whole again).
-    pub(crate) fn attach_flight(&mut self, flight: FlightRecorder) {
-        self.flight = Some(flight);
+    /// Attaches a flight recorder for a file-backed log (recovery and
+    /// promotion do this once the log is whole again).
+    pub(crate) fn arm_flight_recorder(&mut self) {
+        self.flight = FlightRecorder::for_log(&self.log.stable(), &self.obs);
     }
 
     // ---- accessors --------------------------------------------------
@@ -284,10 +275,15 @@ impl RhDb {
     /// `scope.*`/`recovery.*` series included. Idempotent: absorption
     /// writes absolute values.
     pub fn stats(&self) -> rh_obs::RegistrySnapshot {
+        self.absorb_counters();
+        self.obs.registry.snapshot()
+    }
+
+    /// Copies the log, disk and lock counters into the registry.
+    fn absorb_counters(&self) {
         self.log.metrics().snapshot().export_into(&self.obs.registry);
         self.disk.metrics().snapshot().export_into(&self.obs.registry);
         self.locks.stats().snapshot().export_into(&self.obs.registry);
-        self.obs.registry.snapshot()
     }
 
     /// Captures the trace ring (recovery timeline, spans, delegate and
@@ -359,17 +355,34 @@ impl RhDb {
         self.postmortem.lock().clone()
     }
 
-    /// Explicitly freezes a black-box record now (the commit cadence and
-    /// checkpoints also do this automatically). `reason` tags the record.
-    /// Returns false when no flight recorder is attached or the append
-    /// failed (failures are counted under `blackbox.errors`, never
-    /// raised).
+    /// Explicitly freezes a black-box record now and waits until it is
+    /// durable (the commit cadence and checkpoints also freeze records,
+    /// without waiting). `reason` tags the record. Returns false when no
+    /// flight recorder is attached or the append failed (failures are
+    /// counted under `blackbox.errors`, never raised).
     pub fn record_blackbox(&self, reason: &str) -> bool {
         let Some(flight) = &self.flight else { return false };
         // Absorb log/disk/lock counters first so the frozen registry is
         // the same "one-stop" view `stats()` serves.
-        let _ = self.stats();
-        flight.record(reason, &self.obs)
+        self.absorb_counters();
+        flight.record(reason)
+    }
+
+    /// Freezes a black-box record for the recorder's writer thread to
+    /// persist; the caller never waits on the sidecar.
+    fn capture_blackbox(&self, reason: &str) {
+        if let Some(flight) = &self.flight {
+            self.absorb_counters();
+            flight.capture(reason);
+        }
+    }
+
+    /// Flight-recorder cadence: counts one commit and captures a black
+    /// box every [`crate::flight::COMMIT_PERIOD`] commits.
+    fn count_commit(&self) {
+        if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
+            self.capture_blackbox("commit-cadence");
+        }
     }
 
     /// Detaches the flight recorder (the `obs_overhead` bench measures
@@ -802,10 +815,7 @@ impl RhDb {
         // A checkpoint is a crash-adjacent moment worth remembering: a
         // recovery starting here sees the black box frozen at exactly
         // the state it restores.
-        if let Some(flight) = &self.flight {
-            let _ = self.stats();
-            flight.record("checkpoint", &self.obs);
-        }
+        self.capture_blackbox("checkpoint");
         Ok(())
     }
 
@@ -881,10 +891,7 @@ impl RhDb {
         let lsn = self.log_for_txn(txn, RecordBody::Commit)?;
         self.tr.get_mut(txn)?.status = TxnStatus::Committed;
         self.end_txn(txn)?;
-        // Flight-recorder cadence: freeze a black box every N commits.
-        if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
-            self.record_blackbox("commit-cadence");
-        }
+        self.count_commit();
         Ok(lsn)
     }
 
@@ -947,9 +954,7 @@ impl RhDb {
         self.coord_decisions.insert(txn, participants.to_vec());
         self.tr.get_mut(txn)?.status = TxnStatus::Committed;
         self.end_txn(txn)?;
-        if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
-            self.record_blackbox("commit-cadence");
-        }
+        self.count_commit();
         Ok(lsn)
     }
 
@@ -966,9 +971,7 @@ impl RhDb {
             let lsn = self.log_for_txn(txn, RecordBody::Commit)?;
             self.tr.get_mut(txn)?.status = TxnStatus::Committed;
             self.end_txn(txn)?;
-            if self.flight.as_ref().is_some_and(FlightRecorder::commit_due) {
-                self.record_blackbox("commit-cadence");
-            }
+            self.count_commit();
             Ok(lsn)
         } else {
             self.tr.get_mut(txn)?.status = TxnStatus::Active;

@@ -11,7 +11,6 @@ pub use backward::{undo_scopes, UndoStats, WalkScope};
 pub use forward::{forward_pass, ForwardOutcome, ForwardStats};
 
 use crate::engine::{DbConfig, RhDb, Strategy};
-use crate::flight::FlightRecorder;
 use crate::scope::Scope;
 use crate::txn_table::TxnStatus;
 use rh_common::{Lsn, ObjectId, Result, TxnId};
@@ -223,13 +222,7 @@ pub fn recover(
     // Re-arm the flight recorder for this incarnation, through the same
     // I/O layer as the log (attach failures — e.g. a recovery running on
     // already-crashed fault-injected I/O — degrade to "no recorder").
-    let stable = db.log().stable();
-    if let (Some(dir), Some(io)) = (stable.dir(), stable.io()) {
-        match FlightRecorder::attach(io, dir) {
-            Ok(flight) => db.attach_flight(flight),
-            Err(_) => obs.registry.inc(names::M_BLACKBOX_ERRORS),
-        }
-    }
+    db.arm_flight_recorder();
 
     // The postmortem diffs the predecessor's frozen counters against the
     // recovered process's one-stop stats view.

@@ -40,7 +40,6 @@
 //! constructor — then subscribing from its own `applied_lsn`.
 
 use crate::engine::{DbConfig, RhDb, Strategy};
-use crate::flight::FlightRecorder;
 use crate::provenance::ProvenanceTable;
 use crate::recovery::forward::{apply_record, forward_pass, ForwardStats};
 use crate::recovery::{backward, collect_walk_scopes, terminate_losers, RecoveryReport};
@@ -196,13 +195,7 @@ impl ReplicaCore {
         );
         db.set_provenance(self.prov);
         db.set_coord_decisions(&self.coord_commits);
-        let stable = db.log().stable();
-        if let (Some(dir), Some(io)) = (stable.dir(), stable.io()) {
-            match FlightRecorder::attach(io, dir) {
-                Ok(flight) => db.attach_flight(flight),
-                Err(_) => obs.registry.inc(names::M_BLACKBOX_ERRORS),
-            }
-        }
+        db.arm_flight_recorder();
         db.set_recovery_report(RecoveryReport {
             winners_seen: self.stats.commits_seen,
             forward: self.stats,

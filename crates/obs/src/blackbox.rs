@@ -27,24 +27,32 @@
 //! All fields except `slowops` are required by [`BlackBoxRecord::parse`];
 //! `slowops` stays optional on parse so records written by builds that
 //! predate the slow-op log still load.
+//!
+//! Recording happens in two steps. [`Capture::take`] freezes the context
+//! (a registry snapshot, the trace tail, the slow-op entries) and is
+//! cheap enough to run under an engine mutex; [`Capture::encode`] later
+//! turns it into the record's bytes.
 
 use crate::json::JsonValue;
 use crate::registry::RegistrySnapshot;
-use crate::slowlog::SlowOpLog;
+use crate::slowlog::{self, SlowOp};
 use crate::trace::TraceSnapshot;
+use crate::Obs;
 
 /// How many trailing trace events a postmortem replays by default — the
 /// predecessor's "last N spans".
 pub const DEFAULT_FINAL_EVENTS: usize = 20;
 
-/// Encodes one black-box record as compact JSON bytes.
+/// Encodes one black-box record as compact JSON bytes. The slow-op log
+/// is given as its admission threshold and its entries, slowest first.
 pub fn encode_record(
     seq: u64,
     at_us: u64,
     reason: &str,
     metrics: &RegistrySnapshot,
     trace: &TraceSnapshot,
-    slowops: &SlowOpLog,
+    slow_threshold_us: u64,
+    slow_ops: &[SlowOp],
 ) -> Vec<u8> {
     JsonValue::obj(vec![
         ("seq", JsonValue::U64(seq)),
@@ -52,10 +60,56 @@ pub fn encode_record(
         ("reason", JsonValue::Str(reason.to_string())),
         ("metrics", metrics.to_json()),
         ("trace", trace.to_json()),
-        ("slowops", slowops.to_json()),
+        ("slowops", slowlog::to_json(slow_threshold_us, slow_ops)),
     ])
     .render()
     .into_bytes()
+}
+
+/// One black-box record's content, frozen but not yet encoded.
+#[derive(Debug)]
+pub struct Capture {
+    /// Recorder uptime when frozen, microseconds.
+    pub at_us: u64,
+    /// What triggered the freeze.
+    pub reason: String,
+    /// The registry at freeze time.
+    pub metrics: RegistrySnapshot,
+    /// The trace tail at freeze time.
+    pub trace: TraceSnapshot,
+    /// The slow-op log's admission threshold, microseconds.
+    pub slow_threshold_us: u64,
+    /// The slow-op log's entries, slowest first.
+    pub slow_ops: Vec<SlowOp>,
+}
+
+impl Capture {
+    /// Freezes `obs`: its registry, its newest `trace_events` trace
+    /// events (see [`crate::Tracer::tail`]) and its slow-op log.
+    pub fn take(obs: &Obs, at_us: u64, reason: &str, trace_events: usize) -> Capture {
+        Capture {
+            at_us,
+            reason: reason.to_string(),
+            metrics: obs.registry.snapshot(),
+            trace: obs.tracer.tail(trace_events),
+            slow_threshold_us: obs.slowops.threshold_us(),
+            slow_ops: obs.slowops.snapshot(),
+        }
+    }
+
+    /// Encodes the capture as record number `seq` (see
+    /// [`encode_record`]).
+    pub fn encode(&self, seq: u64) -> Vec<u8> {
+        encode_record(
+            seq,
+            self.at_us,
+            &self.reason,
+            &self.metrics,
+            &self.trace,
+            self.slow_threshold_us,
+            &self.slow_ops,
+        )
+    }
 }
 
 /// One parsed black-box record.
@@ -194,6 +248,7 @@ fn counters_json(snap: &RegistrySnapshot) -> JsonValue {
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use crate::slowlog::SlowOpLog;
     use crate::trace::Tracer;
 
     fn sample() -> (Registry, Tracer, SlowOpLog) {
@@ -218,7 +273,8 @@ mod tests {
             "checkpoint",
             &registry.snapshot(),
             &tracer.snapshot(),
-            &slowops,
+            slowops.threshold_us(),
+            &slowops.snapshot(),
         );
         let rec = BlackBoxRecord::parse(&bytes).expect("parse");
         assert_eq!(rec.seq, 3);
@@ -234,6 +290,20 @@ mod tests {
         let slow = rec.slow_ops();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].get("total_us").and_then(JsonValue::as_u64), Some(5000));
+    }
+
+    #[test]
+    fn captures_take_the_trace_tail() {
+        let (registry, tracer, slowops) = sample();
+        let obs = Obs { registry, tracer, slowops, ..Obs::default() };
+        let c = Capture::take(&obs, 5, "cadence", 8);
+        assert_eq!(c.trace.events.len(), 8);
+        assert_eq!(c.trace.dropped, 22);
+        let bytes = c.encode(1);
+        let rec = BlackBoxRecord::parse(&bytes).unwrap();
+        assert_eq!((rec.seq, rec.at_us, rec.reason.as_str()), (1, 5, "cadence"));
+        assert_eq!(rec.counter("log.appends"), 42);
+        assert_eq!(rec.slow_ops().len(), 1);
     }
 
     #[test]
@@ -257,8 +327,15 @@ mod tests {
     #[test]
     fn postmortem_diffs_counters_and_keeps_final_spans() {
         let (registry, tracer, slowops) = sample();
-        let bytes =
-            encode_record(0, 10, "cadence", &registry.snapshot(), &tracer.snapshot(), &slowops);
+        let bytes = encode_record(
+            0,
+            10,
+            "cadence",
+            &registry.snapshot(),
+            &tracer.snapshot(),
+            slowops.threshold_us(),
+            &slowops.snapshot(),
+        );
         let pred = BlackBoxRecord::parse(&bytes).unwrap();
 
         let after = Registry::new();

@@ -12,7 +12,7 @@
 //! everything else (trailing garbage, bad escapes, lone surrogates are
 //! errors).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,21 +106,13 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::U64(v) => out.push_str(&v.to_string()),
-            JsonValue::I64(v) => out.push_str(&v.to_string()),
-            JsonValue::F64(v) => {
-                if v.is_finite() {
-                    // Ensure a decimal point or exponent survives, so the
-                    // value re-parses as a float.
-                    let s = format!("{v}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
+            JsonValue::U64(v) => {
+                let _ = write!(out, "{v}");
             }
+            JsonValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            JsonValue::F64(v) => write_f64(out, *v),
             JsonValue::Str(s) => write_escaped(out, s),
             JsonValue::Arr(items) => {
                 if items.is_empty() {
@@ -167,8 +159,29 @@ impl JsonValue {
     }
 }
 
+/// Appends `v` so that it re-parses as a float: a decimal point or
+/// exponent always survives, and non-finite values print as `null`.
+/// Numbers go straight into `out`, never through a temporary `String`.
+fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `s` as a quoted JSON string.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -177,7 +190,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -202,11 +215,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Everything this
+/// workspace prints nests a handful of levels; the bound keeps the
+/// recursive parser's stack use small on hostile input (a black-box
+/// record read back from disk could be a quarter-megabyte of `[`).
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError { at: pos, msg: "trailing characters after document" });
@@ -229,12 +248,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8, msg: &'static str) -> Result<(), Jso
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(JsonError { at: *pos, msg: "unexpected end of input" }),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(JsonError { at: *pos, msg: "nesting too deep" })
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -257,7 +279,7 @@ fn parse_lit(
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(b, pos, b'{', "expected '{'")?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -270,7 +292,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':', "expected ':' after key")?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -284,7 +306,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(b, pos, b'[', "expected '['")?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -293,7 +315,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -438,9 +460,34 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&deep).unwrap_err().msg, "nesting too deep");
+        // A quarter-megabyte of openers is an error, not a stack overflow.
+        assert!(parse(&"[{\"a\":".repeat(1 << 16)).is_err());
+    }
+
+    #[test]
     fn escapes_roundtrip() {
         let v = JsonValue::Str("tab\t nl\n ctrl\u{1} ünïcode".into());
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn numbers_render_like_display() {
+        for (v, text) in [
+            (JsonValue::U64(u64::MAX), "18446744073709551615"),
+            (JsonValue::U64(0), "0"),
+            (JsonValue::I64(i64::MIN), "-9223372036854775808"),
+            (JsonValue::F64(2.0), "2.0"),
+            (JsonValue::F64(-0.0), "-0.0"),
+            (JsonValue::F64(0.1), "0.1"),
+            (JsonValue::F64(1e300), "1{300 zeros}.0"),
+        ] {
+            assert_eq!(v.render(), text.replace("{300 zeros}", &"0".repeat(300)));
+        }
     }
 
     #[test]

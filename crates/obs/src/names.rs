@@ -186,6 +186,12 @@ pub const M_BLACKBOX_BYTES: &str = "blackbox.bytes";
 /// Flight-recorder appends dropped because the sidecar write or sync
 /// failed (the black box is strictly best-effort).
 pub const M_BLACKBOX_ERRORS: &str = "blackbox.errors";
+/// Cadence or checkpoint captures replaced in the recorder's pending
+/// slot by a newer capture before its writer thread got to them.
+pub const M_BLACKBOX_SUPERSEDED: &str = "blackbox.superseded";
+/// Histogram: one record's encode + sidecar append + fsync + prune on
+/// the recorder's writer thread, microseconds.
+pub const M_BLACKBOX_PERSIST_US: &str = "blackbox.persist_us";
 
 /// Histogram: forward-pass wall clock, microseconds.
 pub const M_RECOVERY_FORWARD_US: &str = "recovery.forward_us";
@@ -393,6 +399,10 @@ pub const LS_CORE_GTXNS: &str = "core.gtxns";
 pub const LS_CORE_PROV: &str = "core.prov";
 /// The captured postmortem report cell.
 pub const LS_CORE_POSTMORTEM: &str = "core.postmortem";
+/// The flight recorder's pending-capture slot (condvar-coupled: the
+/// writer thread waits for captures, explicit records for their
+/// outcome).
+pub const LS_CORE_BLACKBOX_SLOT: &str = "core.blackbox_slot";
 /// The router's 2PC fault-injection plan cell.
 pub const LS_CORE_FAULT: &str = "core.fault";
 /// The router's retired-decision scratch list.

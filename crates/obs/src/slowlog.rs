@@ -144,11 +144,17 @@ impl SlowOpLog {
 
     /// Renders `{threshold_us, entries: [...]}` (slowest first).
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("threshold_us", JsonValue::U64(self.threshold_us())),
-            ("entries", JsonValue::Arr(self.snapshot().iter().map(SlowOp::to_json).collect())),
-        ])
+        to_json(self.threshold_us(), &self.snapshot())
     }
+}
+
+/// Renders a slow-op log's threshold and entries as
+/// `{threshold_us, entries: [...]}`.
+pub fn to_json(threshold_us: u64, entries: &[SlowOp]) -> JsonValue {
+    JsonValue::obj(vec![
+        ("threshold_us", JsonValue::U64(threshold_us)),
+        ("entries", JsonValue::Arr(entries.iter().map(SlowOp::to_json).collect())),
+    ])
 }
 
 #[cfg(test)]

@@ -266,6 +266,19 @@ impl Tracer {
         TraceSnapshot { events: ring.buf.iter().copied().collect(), dropped: ring.dropped }
     }
 
+    /// Captures only the newest `n` events. Events left out count as
+    /// `dropped`, exactly as if the ring had evicted them, so the result
+    /// equals a [`Tracer::snapshot`] trimmed to its last `n` events —
+    /// without copying the rest of the ring under the lock.
+    pub fn tail(&self, n: usize) -> TraceSnapshot {
+        let ring = self.ring.lock().expect("tracer ring poisoned");
+        let skip = ring.buf.len().saturating_sub(n);
+        TraceSnapshot {
+            events: ring.buf.range(skip..).copied().collect(),
+            dropped: ring.dropped + skip as u64,
+        }
+    }
+
     /// Discards all retained events (capacity and epoch are kept).
     pub fn clear(&self) {
         let mut ring = self.ring.lock().expect("tracer ring poisoned");
@@ -415,6 +428,24 @@ mod tests {
         let snap = t.snapshot();
         for w in snap.events.windows(2) {
             assert!(w[0].ts_micros <= w[1].ts_micros, "ring order disagrees with time order");
+        }
+    }
+
+    #[test]
+    fn tail_is_the_end_of_the_snapshot() {
+        // Empty, partly filled, exactly full, and wrapped rings.
+        for pushed in [0u64, 3, 8, 21] {
+            let t = Tracer::with_capacity(8);
+            for i in 0..pushed {
+                t.point("e", i, i, NONE, i);
+            }
+            let full = t.snapshot();
+            for n in [0usize, 1, 5, 8, 100] {
+                let tail = t.tail(n);
+                let skip = full.events.len().saturating_sub(n);
+                assert_eq!(tail.events, full.events[skip..], "pushed {pushed}, n {n}");
+                assert_eq!(tail.dropped, full.dropped + skip as u64, "pushed {pushed}, n {n}");
+            }
         }
     }
 

@@ -27,7 +27,11 @@
 //!   0 by the stream itself; they have no relationship to log LSNs.
 //! * **Every append syncs.** A black box that loses its newest record to
 //!   a crash is useless; the stream is low-rate (commit cadence plus
-//!   checkpoints), so one fsync per record is cheap.
+//!   checkpoints), so one fsync per record is cheap — and it is paid on
+//!   the flight recorder's writer thread, never under the engine mutex.
+//! * **Records name their own position.** [`SidecarLog::append_with`]
+//!   encodes a payload under the append lock, so a record's embedded
+//!   sequence number always equals its position in the stream.
 //! * **Bounded retention.** Only the most recent
 //!   [`SIDECAR_KEEP_RECORDS`] records matter; older whole segments are
 //!   pruned opportunistically after each append.
@@ -118,13 +122,21 @@ impl SidecarLog {
     /// number. Pruning is best-effort: a failed prune never fails the
     /// append that triggered it.
     pub fn append(&self, payload: &[u8]) -> Result<u64> {
-        // The whole record-append — write, sync, prune — is serialized
-        // under the sidecar's own append mutex on purpose: black-box
-        // records are rare, must be whole on disk, and must never
-        // interleave. Nothing else ever nests inside this lock.
+        self.append_with(|_| payload)
+    }
+
+    /// [`SidecarLog::append`] for a payload that embeds its own sequence
+    /// number: `encode` runs under the append lock with the number the
+    /// record will get, so racing writers can never embed the same one.
+    pub fn append_with<P: AsRef<[u8]>>(&self, encode: impl FnOnce(u64) -> P) -> Result<u64> {
+        // The whole record-append — encode, write, sync, prune — is
+        // serialized under the sidecar's own append mutex on purpose:
+        // black-box records are rare, must be whole on disk, and must
+        // never interleave. Nothing else ever nests inside this lock.
         let _guard = self.append.lock();
         let seq = self.log.horizon();
-        self.log.append_encoded(Lsn(seq), payload)?; // rh-analyze: allow(L6)
+        let payload = encode(seq);
+        self.log.append_encoded(Lsn(seq), payload.as_ref())?; // rh-analyze: allow(L6)
         self.log.sync()?; // rh-analyze: allow(L6)
         let retained = self.log.len() as u64;
         if retained > SIDECAR_KEEP_RECORDS {
@@ -189,6 +201,25 @@ mod tests {
         assert_eq!(side2.open_report().records, 5);
         assert_eq!(side2.next_seq(), 5);
         assert_eq!(side2.last().unwrap().0, 4);
+    }
+
+    #[test]
+    fn racing_append_with_embeds_each_records_own_position() {
+        let dir = scratch("race");
+        let side = SidecarLog::open(&dir).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..8 {
+                        side.append_with(|seq| seq.to_string()).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(side.len(), 32);
+        for seq in 0..32u64 {
+            assert_eq!(&*side.read(seq).unwrap(), seq.to_string().as_bytes());
+        }
     }
 
     #[test]
